@@ -44,31 +44,38 @@ func (c CacheConfig) validate() error {
 // tag state only (the simulator keeps data in isa.DataMem); a dirty bit is
 // maintained so write-back traffic can be accounted.
 //
+// Way state is allocated as lines are touched, not at construction: the
+// ways live in pages of pageSets sets, and a page is allocated by the
+// first fill into one of its sets. A nil page reads as all-invalid, so
+// Contains and Invalidate never allocate. A cache therefore holds at most
+// sets/64 pages (rounded up), and a short run on a 2 MB L2 pays only for
+// the pages its lines land in.
+//
 // A way memo (DESIGN.md §10) remembers the most recently hit or filled
 // (line, way) so the dominant same-line re-reference takes a single-compare
-// fast path instead of the set scan. Invariant: whenever memoOK is set,
-// ways[memoIdx] is valid and holds tag memoLine. Every mutation that could
-// break the invariant — Invalidate, Flush, victim replacement — clears or
+// fast path instead of the set scan. Invariant: whenever memo is non-nil,
+// *memo is valid and holds tag memoLine. Every mutation that could break
+// the invariant — Invalidate, Flush, victim replacement — clears or
 // retargets the memo, so a memoized hit can never survive an invalidation
 // and Accesses/Misses/LRU state are bit-identical to the unmemoized cache.
 type Cache struct {
 	cfg       CacheConfig
 	lineShift uint
 	setMask   uint64
-	ways      []way // sets*assoc, set-major
+	pages     [][]way // pageSets sets per page, set-major; nil = never filled
 
 	stamp uint64 // LRU clock
 
-	memoLine uint64 // line address (addr >> lineShift) of the memoized way
-	memoIdx  int32  // global way index of the memoized line
-	memoOK   bool
+	memoLine uint64  // line address (addr >> lineShift) of the memoized way
+	memo     *way    // the memoized way; nil when no memo is held
+	memoMeta *uint64 // the memoized way's policy word (nil under LRU)
 
 	// pol, when non-nil, is the replacement policy the cache was built
-	// with; polMeta is its per-way metadata (set-major, parallel to
-	// ways). nil pol selects the built-in true-LRU path, which uses
-	// way.used/stamp and never consults the seam.
-	pol     Policy
-	polMeta []uint64
+	// with; metaPages holds its per-way metadata words, page for page
+	// parallel to pages. nil pol selects the built-in true-LRU path,
+	// which uses way.used/stamp and never consults the seam.
+	pol       Policy
+	metaPages [][]uint64
 
 	// tax, when non-nil, classifies every miss online (see Taxonomy).
 	tax *Taxonomy
@@ -78,10 +85,21 @@ type Cache struct {
 	Misses   uint64
 }
 
+// pageShift sets the page granularity of the lazily allocated way state:
+// one page covers pageSets consecutive sets.
+const (
+	pageShift = 6
+	pageSets  = 1 << pageShift
+)
+
+// way is one cache way. ref belongs to the taxonomy: the shadow node
+// last associated with this way, plus one (0 = none). It sits in what
+// would otherwise be padding, so a way stays 24 bytes.
 type way struct {
 	tag   uint64
 	valid bool
 	dirty bool
+	ref   int32
 	used  uint64
 }
 
@@ -100,15 +118,16 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
+	npages := (cfg.Sets() + pageSets - 1) / pageSets
 	c := &Cache{
 		cfg:       cfg,
 		lineShift: shift,
 		setMask:   uint64(cfg.Sets() - 1),
-		ways:      make([]way, cfg.Sets()*cfg.Assoc),
+		pages:     make([][]way, npages),
 		pol:       pol,
 	}
 	if pol != nil {
-		c.polMeta = make([]uint64, cfg.Sets()*cfg.Assoc)
+		c.metaPages = make([][]uint64, npages)
 	}
 	return c, nil
 }
@@ -129,9 +148,32 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Line returns the line address (addr with the offset bits cleared).
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
 
-func (c *Cache) set(addr uint64) []way {
-	s := int(addr >> c.lineShift & c.setMask)
-	return c.ways[s*c.cfg.Assoc : (s+1)*c.cfg.Assoc]
+// lookup returns tag's set without allocating: nil when the set's page
+// was never filled, which means every way in it is invalid. off is the
+// set's first way within its page (for the parallel metadata page).
+func (c *Cache) lookup(tag uint64) (set []way, off int) {
+	s := tag & c.setMask
+	pg := c.pages[s>>pageShift]
+	if pg == nil {
+		return nil, 0
+	}
+	off = int(s&(pageSets-1)) * c.cfg.Assoc
+	return pg[off : off+c.cfg.Assoc], off
+}
+
+// accessNewPage serves an access whose set lies in a never-filled page:
+// it allocates the page (and its policy metadata page), then retries the
+// access, which misses into the fresh set. Entering it by a tail call
+// keeps the allocation out of the common access paths, which then hold
+// no values across a call and spill none.
+func (c *Cache) accessNewPage(tag uint64, write bool) (hit bool, writeback uint64, wb bool) {
+	n := min(pageSets, int(c.setMask)+1) * c.cfg.Assoc
+	page := tag & c.setMask >> pageShift
+	c.pages[page] = make([]way, n)
+	if c.pol != nil {
+		c.metaPages[page] = make([]uint64, n)
+	}
+	return c.accessSlow(tag, write)
 }
 
 // Access looks up addr, updating LRU state and allocating the line on a
@@ -139,17 +181,16 @@ func (c *Cache) set(addr uint64) []way {
 // eviction of a dirty line occurred, the evicted line address.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, writeback uint64, wb bool) {
 	tag := addr >> c.lineShift
-	if c.pol == nil && c.memoOK && c.memoLine == tag {
+	if w := c.memo; c.pol == nil && w != nil && c.memoLine == tag {
 		// Way-memo fast path: same line as the previous hit/fill.
 		c.Accesses++
 		c.stamp++
-		w := &c.ways[c.memoIdx]
 		w.used = c.stamp
 		if write {
 			w.dirty = true
 		}
 		if c.tax != nil {
-			c.tax.hit(tag, int(c.memoIdx))
+			c.tax.hit(tag, w)
 		}
 		return true, 0, false
 	}
@@ -164,9 +205,11 @@ func (c *Cache) accessSlow(tag uint64, write bool) (hit bool, writeback uint64, 
 	if c.pol != nil {
 		return c.accessPolicy(tag, write)
 	}
+	set, _ := c.lookup(tag)
+	if set == nil {
+		return c.accessNewPage(tag, write)
+	}
 	c.Accesses++
-	base := int(tag&c.setMask) * c.cfg.Assoc
-	set := c.ways[base : base+c.cfg.Assoc]
 	c.stamp++
 	victim, invalidFound := 0, false
 	for i := range set {
@@ -176,9 +219,9 @@ func (c *Cache) accessSlow(tag uint64, write bool) (hit bool, writeback uint64, 
 			if write {
 				w.dirty = true
 			}
-			c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+i), true
+			c.memoLine, c.memo = tag, w
 			if c.tax != nil {
-				c.tax.hit(tag, base+i)
+				c.tax.hit(tag, w)
 			}
 			return true, 0, false
 		}
@@ -191,19 +234,21 @@ func (c *Cache) accessSlow(tag uint64, write bool) (hit bool, writeback uint64, 
 		}
 	}
 	c.Misses++
-	if c.tax != nil {
-		c.tax.miss(tag, base+victim)
-	}
 	w := &set[victim]
 	if w.valid && w.dirty {
 		writeback = w.tag << c.lineShift
 		wb = true
 	}
 	*w = way{tag: tag, valid: true, dirty: write, used: c.stamp}
+	if c.tax != nil {
+		// After the fill, so the classifier's node ref lands in the
+		// freshly written way.
+		c.tax.miss(tag, w)
+	}
 	// Retarget the memo at the freshly filled line: the replacement may
 	// just have evicted the memoized line from this very way, and the new
 	// line is the MRU re-reference candidate either way.
-	c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+victim), true
+	c.memoLine, c.memo = tag, w
 	return false, writeback, wb
 }
 
@@ -214,10 +259,12 @@ func (c *Cache) accessSlow(tag uint64, write bool) (hit bool, writeback uint64, 
 // always names a valid resident line — so Contains' memo consult stays
 // exact under every policy.
 func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64, wb bool) {
+	set, off := c.lookup(tag)
+	if set == nil {
+		return c.accessNewPage(tag, write)
+	}
 	c.Accesses++
-	base := int(tag&c.setMask) * c.cfg.Assoc
-	set := c.ways[base : base+c.cfg.Assoc]
-	meta := c.polMeta[base : base+c.cfg.Assoc]
+	meta := c.metaPages[tag&c.setMask>>pageShift][off : off+c.cfg.Assoc]
 	victim, invalidFound := -1, false
 	for i := range set {
 		w := &set[i]
@@ -226,9 +273,9 @@ func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64
 			if write {
 				w.dirty = true
 			}
-			c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+i), true
+			c.memoLine, c.memo, c.memoMeta = tag, w, &meta[i]
 			if c.tax != nil {
-				c.tax.hit(tag, base+i)
+				c.tax.hit(tag, w)
 			}
 			return true, 0, false
 		}
@@ -241,20 +288,20 @@ func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64
 		victim = c.pol.Victim(meta)
 		c.pol.Evict(set[victim].tag, meta[victim])
 	}
-	if c.tax != nil {
-		// After victim selection so the classifier can re-aim the way
-		// memo at the filled way; the classifier shares no state with
-		// the policy, so the move is observation-order neutral.
-		c.tax.miss(tag, base+victim)
-	}
 	w := &set[victim]
 	if w.valid && w.dirty {
 		writeback = w.tag << c.lineShift
 		wb = true
 	}
 	*w = way{tag: tag, valid: true, dirty: write}
+	if c.tax != nil {
+		// After victim selection and the fill, so the classifier's node
+		// ref lands in the filled way; the classifier shares no state
+		// with the policy, so the move is observation-order neutral.
+		c.tax.miss(tag, w)
+	}
 	c.pol.Fill(meta, victim, tag)
-	c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+victim), true
+	c.memoLine, c.memo, c.memoMeta = tag, w, &meta[victim]
 	return false, writeback, wb
 }
 
@@ -263,11 +310,12 @@ func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64
 // that answer exact.
 func (c *Cache) Contains(addr uint64) bool {
 	tag := addr >> c.lineShift
-	if c.memoOK && c.memoLine == tag {
+	if c.memo != nil && c.memoLine == tag {
 		return true
 	}
-	for _, w := range c.set(addr) {
-		if w.valid && w.tag == tag {
+	set, _ := c.lookup(tag)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
 			return true
 		}
 	}
@@ -279,20 +327,20 @@ func (c *Cache) Contains(addr uint64) bool {
 // memoized hit can never survive an invalidation.
 func (c *Cache) Invalidate(addr uint64) bool {
 	tag := addr >> c.lineShift
-	if c.memoOK && c.memoLine == tag {
-		c.memoOK = false
-		c.ways[c.memoIdx] = way{}
-		if c.polMeta != nil {
-			c.polMeta[c.memoIdx] = 0
+	if c.memo != nil && c.memoLine == tag {
+		*c.memo = way{}
+		if c.memoMeta != nil {
+			*c.memoMeta = 0
 		}
+		c.memo, c.memoMeta = nil, nil
 		return true
 	}
-	set := c.set(addr)
+	set, off := c.lookup(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i] = way{}
-			if c.polMeta != nil {
-				c.polMeta[int(addr>>c.lineShift&c.setMask)*c.cfg.Assoc+i] = 0
+			if c.pol != nil {
+				c.metaPages[tag&c.setMask>>pageShift][off+i] = 0
 			}
 			return true
 		}
@@ -300,19 +348,18 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	return false
 }
 
-// Flush invalidates the entire cache (context switch modelling). The
-// taxonomy's fully-associative shadow is flushed alongside, so post-flush
+// Flush invalidates the entire cache (context switch modelling). Pages
+// already allocated are cleared in place, not released. The taxonomy's
+// fully-associative shadow is flushed alongside, so post-flush
 // re-references classify as capacity misses rather than inheriting
 // pre-switch recency.
 func (c *Cache) Flush() {
-	c.memoOK = false
-	for i := range c.ways {
-		c.ways[i] = way{}
+	c.memo, c.memoMeta = nil, nil
+	for _, pg := range c.pages {
+		clear(pg)
 	}
-	if c.polMeta != nil {
-		for i := range c.polMeta {
-			c.polMeta[i] = 0
-		}
+	for _, pg := range c.metaPages {
+		clear(pg)
 	}
 	if c.tax != nil {
 		c.tax.flush()

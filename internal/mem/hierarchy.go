@@ -90,17 +90,16 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 func (h *Hierarchy) ProbeData(addr uint64, write bool) int {
 	l1 := h.L1
 	tag := addr >> l1.lineShift
-	if l1.pol == nil && l1.memoOK && l1.memoLine == tag {
+	if w := l1.memo; l1.pol == nil && w != nil && l1.memoLine == tag {
 		h.Refs++
 		l1.Accesses++
 		l1.stamp++
-		w := &l1.ways[l1.memoIdx]
 		w.used = l1.stamp
 		if write {
 			w.dirty = true
 		}
 		if t := l1.tax; t != nil {
-			t.hit(tag, int(l1.memoIdx))
+			t.hit(tag, w)
 		}
 		return 1
 	}

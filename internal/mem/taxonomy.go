@@ -34,15 +34,21 @@ import "informing/internal/stats"
 // on both data levels of every run), so it avoids Go maps entirely:
 // both side models are open-addressed tables keyed by tag+1 (0 = empty
 // slot), and the dominant operation — refreshing shadow recency on a
-// cache hit — usually skips even those via wayRef, a per-cache-way memo
-// of the shadow node last associated with that way. A wayRef entry is
-// validated against the node's current tag before use, so recycling a
-// shadow node merely makes the memo miss, never lie. The shadow's node
-// pool is preallocated at Enable time; the tables grow by amortized
-// doubling (seen) or periodic compaction (the shadow index, whose dead
-// slots — left behind when their node is recycled to a new tag — are
-// swept out by rehashing the live LRU list), keeping the steady-state
-// hot path allocation-free within the allocation gate's budget.
+// cache hit — usually skips even those via way.ref, a per-cache-way memo
+// of the shadow node last associated with that way. A ref is validated
+// against the pool's length and the node's current tag before use, so
+// recycling a shadow node, a flush or a re-enable merely makes the memo
+// miss, never lie.
+//
+// Like the cache's way pages, all of this state grows with the lines a
+// run touches rather than being sized by the cache's capacity up front:
+// the node pool grows by append to at most one node per cache line and
+// then recycles its LRU node, and both tables start at 256 slots and
+// double (the shadow index first compacts its dead slots — left behind
+// when their node is recycled to a new tag — by rehashing the live LRU
+// list, and doubles only when live entries fill half of it). Growth is
+// amortized, keeping the steady-state hot path allocation-free within
+// the allocation gate's budget.
 type Taxonomy struct {
 	Classes stats.MissClasses
 
@@ -62,18 +68,14 @@ type Taxonomy struct {
 	idxNodes []int32
 	idxUsed  int
 
-	// Fully-associative shadow: intrusive LRU list over a preallocated
-	// node pool.
+	// Fully-associative shadow: intrusive LRU list over the node pool.
+	// Every node in nodes is on the list; the pool grows by append until
+	// it holds lines nodes, after which a miss recycles the LRU node.
 	nodes      []shadowNode
+	lines      int
 	head, tail int32 // MRU, LRU (-1 when empty)
-	free       int32 // free-list head (-1 when exhausted)
 	mru        uint64
 	mruOK      bool
-
-	// wayRef[g] is the shadow node last associated with global cache
-	// way g; nodes[wayRef[g]].tag is checked before use, so stale refs
-	// are safe. Reset to -1 by flush (free-list nodes keep old tags).
-	wayRef []int32
 }
 
 const cohMark = 1 << 0 // seen-filter bit: evicted by a coherence invalidation
@@ -88,45 +90,34 @@ type shadowNode struct {
 	prev, next int32
 }
 
-// newTaxonomy builds a classifier whose shadow holds lines total lines
-// (the attached cache's capacity in lines) for a cache of ways total
-// ways (sets × associativity).
-func newTaxonomy(lines, ways int) *Taxonomy {
-	idxCap := 2
-	for idxCap < 2*lines {
-		idxCap <<= 1
-	}
-	t := &Taxonomy{
-		seenKeys: make([]uint64, 1<<13),
-		seenVals: make([]uint8, 1<<13),
-		idxKeys:  make([]uint64, idxCap),
-		idxNodes: make([]int32, idxCap),
-		nodes:    make([]shadowNode, lines),
+// tableMin is the starting slot count of the seen filter and the shadow
+// index; both double from there as the run touches more lines.
+const tableMin = 256
+
+// newTaxonomy builds a classifier whose shadow holds at most lines lines
+// (the attached cache's capacity in lines).
+func newTaxonomy(lines int) *Taxonomy {
+	return &Taxonomy{
+		seenKeys: make([]uint64, tableMin),
+		seenVals: make([]uint8, tableMin),
+		idxKeys:  make([]uint64, tableMin),
+		idxNodes: make([]int32, tableMin),
+		lines:    lines,
 		head:     -1,
 		tail:     -1,
-		wayRef:   make([]int32, ways),
 	}
-	// Thread the free list through the pool.
-	for i := range t.nodes {
-		t.nodes[i].next = int32(i) + 1
-	}
-	t.nodes[lines-1].next = -1
-	t.free = 0
-	for i := range t.wayRef {
-		t.wayRef[i] = -1
-	}
-	return t
 }
 
-// hit records a cache hit on global way g: the shadow's recency is
-// refreshed. The MRU memo makes the dominant same-line re-reference a
-// single compare; wayRef makes most other hits a tag check plus a list
-// splice, no table probe.
-func (t *Taxonomy) hit(tag uint64, g int) {
+// hit records a cache hit on way w: the shadow's recency is refreshed.
+// The MRU memo makes the dominant same-line re-reference a single
+// compare; w.ref makes most other hits a tag check plus a list splice,
+// no table probe. The unsigned compare rejects both "no ref" (0 - 1)
+// and a ref past the pool, which a flush or re-enable leaves behind.
+func (t *Taxonomy) hit(tag uint64, w *way) {
 	if t.mruOK && t.mru == tag {
 		return
 	}
-	if r := t.wayRef[g]; r >= 0 && t.nodes[r].tag == tag {
+	if r := w.ref - 1; uint(r) < uint(len(t.nodes)) && t.nodes[r].tag == tag {
 		t.mru, t.mruOK = tag, true
 		if t.head != r {
 			t.moveToHead(r)
@@ -134,14 +125,14 @@ func (t *Taxonomy) hit(tag uint64, g int) {
 		return
 	}
 	n, inShadow := t.idxGet(tag)
-	t.touch(tag, n, inShadow, g)
+	t.touch(tag, n, inShadow, w)
 }
 
-// miss classifies and records a cache miss on tag filling global way g,
-// then refreshes the shadow with the reference. Classification priority:
+// miss classifies and records a cache miss on tag filling way w, then
+// refreshes the shadow with the reference. Classification priority:
 // compulsory (never seen) > coherence (marked by InvalidateCoherence) >
 // conflict (shadow holds the line) > capacity.
-func (t *Taxonomy) miss(tag uint64, g int) {
+func (t *Taxonomy) miss(tag uint64, w *way) {
 	n, inShadow := t.idxGet(tag)
 	if 4*(t.seenLive+1) > 3*len(t.seenKeys) {
 		t.growSeen()
@@ -161,7 +152,7 @@ func (t *Taxonomy) miss(tag uint64, g int) {
 	default:
 		t.Classes.Capacity++
 	}
-	t.touch(tag, n, inShadow, g)
+	t.touch(tag, n, inShadow, w)
 }
 
 // markCoherence flags tag so its next miss classifies as a coherence
@@ -224,13 +215,20 @@ func (t *Taxonomy) idxGet(tag uint64) (int32, bool) {
 }
 
 // idxSet points tag's index slot at node n, reusing tag's dead slot if
-// one exists, and compacts the table when claimed slots reach 3/4.
+// one exists. When claimed slots reach 3/4 it rehashes the live LRU list
+// into a table of the same size, or of double the size once the pool
+// (an upper bound on live entries) exceeds half of it. Either way the
+// rehash leaves at most 1/2 (same size) or 3/8 (doubled) of the table
+// claimed, so it is amortized O(1) per claim, and the table stays below
+// four slots per cache line.
 func (t *Taxonomy) idxSet(tag uint64, n int32) {
 	if 4*(t.idxUsed+1) > 3*len(t.idxKeys) {
-		// Sweep dead slots: rehash the live LRU list. Live entries are
-		// bounded by the pool (≤ cap/2), so the sweep always reclaims
-		// at least a quarter of the table — amortized O(1) per claim.
-		clear(t.idxKeys)
+		if size := len(t.idxKeys); 2*len(t.nodes) > size {
+			t.idxKeys = make([]uint64, 2*size)
+			t.idxNodes = make([]int32, 2*size)
+		} else {
+			clear(t.idxKeys)
+		}
 		t.idxUsed = 0
 		for m := t.head; m >= 0; m = t.nodes[m].next {
 			t.idxSet(t.nodes[m].tag, m)
@@ -252,31 +250,43 @@ func (t *Taxonomy) idxSet(tag uint64, n int32) {
 	}
 }
 
-// touch moves tag to the shadow's MRU position, inserting it (recycling
-// the shadow's LRU node if the pool is exhausted) when absent, and
-// re-aims way g's memo. n/inShadow carry a prior idxGet's answer.
-func (t *Taxonomy) touch(tag uint64, n int32, inShadow bool, g int) {
+// touch moves tag to the shadow's MRU position, inserting it when
+// absent, and re-aims way w's memo. n/inShadow carry a prior idxGet's
+// answer.
+func (t *Taxonomy) touch(tag uint64, n int32, inShadow bool, w *way) {
 	t.mru, t.mruOK = tag, true
 	if inShadow {
 		if t.head != n {
 			t.moveToHead(n)
 		}
-		t.wayRef[g] = n
+		w.ref = n + 1
 		return
 	}
-	n = t.free
-	if n < 0 {
+	if len(t.nodes) < t.lines {
+		n = int32(len(t.nodes))
+		t.growNodes()
+		t.nodes = append(t.nodes, shadowNode{tag: tag})
+	} else {
 		// Shadow full: recycle the LRU node. Its index slot dies in
 		// place (idxGet's tag check) — no deletion needed.
 		n = t.tail
 		t.unlink(n)
-	} else {
-		t.free = t.nodes[n].next
+		t.nodes[n].tag = tag
 	}
-	t.nodes[n].tag = tag
 	t.idxSet(tag, n)
 	t.pushHead(n)
-	t.wayRef[g] = n
+	w.ref = n + 1
+}
+
+// growNodes makes room for one more node, doubling the pool's capacity
+// but never past lines, so the pool holds at most one node per line.
+func (t *Taxonomy) growNodes() {
+	if len(t.nodes) < cap(t.nodes) {
+		return
+	}
+	grown := make([]shadowNode, len(t.nodes), min(max(2*cap(t.nodes), 16), t.lines))
+	copy(grown, t.nodes)
+	t.nodes = grown
 }
 
 // moveToHead splices an in-list, non-head node to the MRU position —
@@ -323,21 +333,14 @@ func (t *Taxonomy) pushHead(n int32) {
 
 // flush empties the shadow (mirroring a cache Flush); the seen filter —
 // deliberately infinite — survives, so post-flush misses are capacity,
-// never compulsory. wayRef must reset too: free-list nodes keep their
-// old tags, which would otherwise re-validate a dead memo.
+// never compulsory. The pool keeps its capacity; Cache.Flush clears
+// every way alongside, so no way ref outlives the flush.
 func (t *Taxonomy) flush() {
 	t.mruOK = false
 	t.head, t.tail = -1, -1
 	clear(t.idxKeys)
 	t.idxUsed = 0
-	for i := range t.nodes {
-		t.nodes[i].next = int32(i) + 1
-	}
-	t.nodes[len(t.nodes)-1].next = -1
-	t.free = 0
-	for i := range t.wayRef {
-		t.wayRef[i] = -1
-	}
+	t.nodes = t.nodes[:0]
 }
 
 // EnableTaxonomy attaches a fresh miss classifier to the cache (idempotent
@@ -345,7 +348,7 @@ func (t *Taxonomy) flush() {
 // it on both data levels; bare caches (e.g. the instruction cache) stay
 // unclassified and pay nothing.
 func (c *Cache) EnableTaxonomy() {
-	c.tax = newTaxonomy(c.cfg.SizeBytes/c.cfg.LineBytes, c.cfg.Sets()*c.cfg.Assoc)
+	c.tax = newTaxonomy(c.cfg.SizeBytes / c.cfg.LineBytes)
 }
 
 // Taxonomy returns the per-class miss breakdown (zero when the classifier

@@ -113,10 +113,10 @@ func TestTaxonomyFlushCapacity(t *testing.T) {
 	wantClasses(t, c, stats.MissClasses{Compulsory: 4, Capacity: 4})
 }
 
-// TestTaxonomyShadowRecycling: the shadow's preallocated node pool must
-// recycle correctly under sustained pressure far beyond its size — the
-// classes keep partitioning the misses and a flush mid-stream resets the
-// shadow without leaking or double-freeing nodes.
+// TestTaxonomyShadowRecycling: the shadow's node pool must recycle
+// correctly under sustained pressure far beyond its size — the classes
+// keep partitioning the misses and a flush mid-stream empties the pool,
+// which then regrows, without leaking or duplicating nodes.
 func TestTaxonomyShadowRecycling(t *testing.T) {
 	c := mkTaxCache(128, 32, 2, "") // 4-line shadow
 	rng := rand.New(rand.NewSource(11))
